@@ -249,23 +249,10 @@ def _load_fault_plan(args: argparse.Namespace):
     :class:`~repro.util.errors.PlanFileError` (exit 2, one-line
     message) — never a traceback.
     """
-    from pathlib import Path
-
     from repro.faultsim import FaultPlan
-    from repro.util.errors import PlanFileError
 
     if getattr(args, "fault_plan", None):
-        path = Path(args.fault_plan)
-        try:
-            text = path.read_text()
-        except OSError as error:
-            raise PlanFileError(
-                f"cannot read fault plan {path}: {error}") from error
-        try:
-            return FaultPlan.from_json(text)
-        except (ValueError, TypeError, KeyError) as error:
-            raise PlanFileError(
-                f"invalid fault plan {path}: {error}") from error
+        return FaultPlan.load(args.fault_plan)
     if getattr(args, "chaos", False):
         return FaultPlan.chaos_demo(args.seed)
     return None
@@ -561,8 +548,8 @@ def _print_scan_perf(perf) -> None:
 def _cmd_scan_streaming(args: argparse.Namespace) -> int:
     """``repro scan --ranks N [--jobs J]``: the paper-scale lazy scan."""
     from repro.ecosystem import (
-        ChurnSchedule,
         ScanBaseline,
+        WorldEvolution,
         build_scan_baseline,
         delta_scan,
     )
@@ -627,8 +614,8 @@ def _cmd_scan_streaming(args: argparse.Namespace) -> int:
         else:
             churn = ()
             if args.days:
-                schedule = ChurnSchedule(args.seed, args.ranks,
-                                         args.churn_rate)
+                schedule = WorldEvolution(args.seed, args.ranks,
+                                          args.churn_rate)
                 churn = tuple(sorted(
                     schedule.generations(args.days).items()))
             aggregates = run_sharded_scan(args.seed, args.ranks,
@@ -758,8 +745,6 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     diagnoses = diagnose_paths(args.paths)
     for diagnosis in diagnoses:
         print(diagnosis.summary_line())
-        for problem in diagnosis.problems[1:]:
-            print(f"       - {problem}")
     bad = [d for d in diagnoses if not d.ok]
     if bad:
         print(f"{len(bad)} of {len(diagnoses)} artifacts failed "

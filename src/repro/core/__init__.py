@@ -11,7 +11,7 @@ from repro.core.distances import (
     set_distance_caches_enabled,
     visual_distance,
 )
-from repro.core.keyboard import are_adjacent, key_position, qwerty_adjacency
+from repro.core.keyboard import are_adjacent, qwerty_adjacency
 from repro.core.targets import (
     EMAIL_TARGETS,
     RegisteredTypoDomain,
@@ -64,7 +64,6 @@ __all__ = [
     "classify_edit",
     "qwerty_adjacency",
     "are_adjacent",
-    "key_position",
     "TypoGenerator",
     "TypoCandidate",
     "DOMAIN_ALPHABET",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Tuple
 
-__all__ = ["QWERTY_ROWS", "qwerty_adjacency", "are_adjacent", "key_position"]
+__all__ = ["QWERTY_ROWS", "qwerty_adjacency", "are_adjacent"]
 
 #: Physical rows with their horizontal stagger (row offset in key-widths).
 #: The digit row sits above the top letter row; offsets approximate a
@@ -26,11 +26,6 @@ _POSITIONS: Dict[str, Tuple[float, float]] = {}
 for _row_index, (_row, _offset) in enumerate(QWERTY_ROWS):
     for _col, _ch in enumerate(_row):
         _POSITIONS[_ch] = (_row_index, _offset + _col)
-
-
-def key_position(char: str) -> Tuple[float, float]:
-    """(row, column) of a key; raises KeyError for unknown characters."""
-    return _POSITIONS[char.lower()]
 
 
 def _build_adjacency() -> Dict[str, FrozenSet[str]]:

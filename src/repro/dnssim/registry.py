@@ -92,10 +92,6 @@ class DomainRegistry:
         suffix = "." + normalize_name(tld)
         return sorted(d for d in self._registrations if d.endswith(suffix))
 
-    def all_domains(self) -> List[str]:
-        """Every registered domain, sorted."""
-        return sorted(self._registrations)
-
     def __len__(self) -> int:
         return len(self._registrations)
 

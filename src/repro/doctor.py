@@ -1,21 +1,19 @@
 """Artifact integrity doctor: validate on-disk run artifacts.
 
 A long campaign leaves a trail of durable files — study checkpoints,
-scan checkpoints, delta-scan baselines, the performance baseline,
-fault-plan schedules, persisted typo-risk indexes — and
-each of them can rot: torn writes from a crash mid-save, manual edits,
-copies from a different run.  ``repro doctor`` examines each file,
-detects what kind of artifact it is, and validates it against its own
-schema and self-check digest, reporting problems through the
+scan checkpoints, delta-scan baselines, risk indexes, typo models,
+scenarios, fault plans and the performance baseline — and each of them
+can rot: torn writes from a crash mid-save, manual edits, copies from a
+different run.  ``repro doctor`` examines each file, detects what kind
+of artifact it is, and validates it, reporting problems through the
 :mod:`repro.util.errors` taxonomy instead of raw tracebacks.
 
-The validators are the *same* code paths the runtime uses to load each
-artifact (:class:`~repro.experiment.checkpoint.StudyCheckpoint`,
-:class:`~repro.experiment.parallel.ScanCheckpoint`,
-:class:`~repro.ecosystem.delta.ScanBaseline`,
-:class:`~repro.faultsim.plan.FaultPlan`,
-:class:`~repro.service.index.TypoRiskIndex`), so a file the doctor passes is
-a file the engine will accept — there is no second, drifting schema.
+Every kind is one :class:`DoctorKind` entry in :data:`REGISTRY`: how to
+recognize it (a format tag or a shape rule), the loader the runtime
+itself uses, a filename hint for files too torn to parse, and the
+details worth printing.  Because the loader is the engine's own, a file
+the doctor passes is a file the engine will accept — there is no
+second, drifting schema.  Adding a kind means adding one entry.
 """
 
 from __future__ import annotations
@@ -23,16 +21,27 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from repro.ecosystem.delta import SCAN_BASELINE_FORMAT, ScanBaseline
+from repro.experiment.checkpoint import (
+    STUDY_CHECKPOINT_FORMAT,
+    StudyCheckpoint,
+)
+from repro.experiment.parallel import ScanCheckpoint
+from repro.faultsim.plan import FaultPlan
+from repro.learned.model import LEARNED_MODEL_FORMAT, load_model
+from repro.scenario.timeline import SCENARIO_FORMAT, Scenario
+from repro.service.index import RISK_INDEX_FORMAT, TypoRiskIndex
 from repro.util.errors import (
     EXIT_BAD_INPUT,
     EXIT_CORRUPT_CHECKPOINT,
-    CheckpointError,
+    ConfigError,
     ReproError,
 )
 
-__all__ = ["Diagnosis", "diagnose_file", "diagnose_paths", "exit_code_for"]
+__all__ = ["Diagnosis", "DoctorKind", "REGISTRY", "diagnose_file",
+           "diagnose_paths", "exit_code_for"]
 
 #: artifact kinds :func:`diagnose_file` can identify
 KIND_STUDY_CHECKPOINT = "study-checkpoint"
@@ -70,47 +79,66 @@ class Diagnosis:
         return f"{status:4s} {self.kind:17s} {self.path}{extra}"
 
 
+@dataclass(frozen=True)
+class DoctorKind:
+    """One artifact kind the doctor recognizes and validates."""
+
+    kind: str
+    #: the loader the runtime uses; raises only :class:`ReproError`
+    load: Callable[[Path], object]
+    #: facts worth printing about a healthy loaded artifact
+    details: Callable[[object], Dict[str, object]]
+    #: the ``format`` tag that identifies the kind ...
+    format_tag: Optional[str] = None
+    #: ... or, for untagged kinds, a rule over the parsed JSON object
+    shape: Optional[Callable[[Dict], bool]] = None
+    #: filename substrings that identify a file too torn to parse
+    name_hints: Tuple[str, ...] = ()
+    #: exit code for such a torn file: durable state (3) or input (2)
+    torn_exit: int = EXIT_CORRUPT_CHECKPOINT
+
+    def matches(self, data: Dict) -> bool:
+        if self.format_tag is not None:
+            return data.get("format") == self.format_tag
+        return self.shape(data)
+
+
 def diagnose_file(path: Union[str, Path]) -> Diagnosis:
     """Identify and validate one artifact file."""
     path = Path(path)
     if not path.exists():
-        return Diagnosis(path=path, kind=KIND_UNKNOWN, ok=False,
-                         problems=["file does not exist"],
-                         exit_code=EXIT_BAD_INPUT)
+        return _failure(path, KIND_UNKNOWN, "file does not exist",
+                        EXIT_BAD_INPUT)
+    if not path.is_file():
+        return _failure(path, KIND_UNKNOWN, "not a regular file",
+                        EXIT_BAD_INPUT)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (ValueError, UnicodeDecodeError) as error:
+    except (OSError, ValueError) as error:
         # can't even parse it, so kind detection falls back to the
-        # filename; a torn study/scan checkpoint should still exit 3
-        kind, code = _kind_from_name(path)
-        return Diagnosis(path=path, kind=kind, ok=False,
-                         problems=[f"not valid JSON ({error}); the file "
-                                   f"is torn or truncated"],
-                         exit_code=code)
+        # filename; a torn checkpoint should still exit 3
+        entry = next((entry for entry in REGISTRY
+                      if any(hint in path.name.lower()
+                             for hint in entry.name_hints)), None)
+        return _failure(
+            path, entry.kind if entry else KIND_UNKNOWN,
+            f"not valid JSON ({error}); the file is torn or truncated",
+            entry.torn_exit if entry else EXIT_BAD_INPUT)
     if not isinstance(data, dict):
-        return Diagnosis(path=path, kind=KIND_UNKNOWN, ok=False,
-                         problems=["JSON root is not an object"],
-                         exit_code=EXIT_BAD_INPUT)
-    kind = _detect_kind(data)
-    validator = {
-        KIND_STUDY_CHECKPOINT: _check_study_checkpoint,
-        KIND_SCAN_CHECKPOINT: _check_scan_checkpoint,
-        KIND_SCAN_BASELINE: _check_scan_baseline,
-        KIND_FAULT_PLAN: _check_fault_plan,
-        KIND_PERF_BASELINE: _check_perf_baseline,
-        KIND_RISK_INDEX: _check_risk_index,
-        KIND_TYPO_MODEL: _check_typo_model,
-        KIND_SCENARIO: _check_scenario,
-    }.get(kind)
-    if validator is None:
-        return Diagnosis(path=path, kind=KIND_UNKNOWN, ok=False,
-                         problems=["not a recognized repro artifact "
-                                   "(study/scan checkpoint, scan "
-                                   "baseline, fault plan, perf "
-                                   "baseline, risk index, typo "
-                                   "model, or scenario)"],
-                         exit_code=EXIT_BAD_INPUT)
-    return validator(path, data)
+        return _failure(path, KIND_UNKNOWN, "JSON root is not an object",
+                        EXIT_BAD_INPUT)
+    entry = next((entry for entry in REGISTRY if entry.matches(data)), None)
+    if entry is None:
+        return _failure(path, KIND_UNKNOWN,
+                        "not a recognized repro artifact (" +
+                        ", ".join(entry.kind for entry in REGISTRY) + ")",
+                        EXIT_BAD_INPUT)
+    try:
+        artifact = entry.load(path)
+    except ReproError as error:
+        return _failure(path, entry.kind, str(error), error.exit_code)
+    return Diagnosis(path=path, kind=entry.kind, ok=True,
+                     details=entry.details(artifact))
 
 
 def diagnose_paths(paths) -> List[Diagnosis]:
@@ -132,258 +160,92 @@ def exit_code_for(diagnoses: List[Diagnosis]) -> int:
     return max(codes)
 
 
-# -- kind detection -----------------------------------------------------------
+def _failure(path: Path, kind: str, problem: str, code: int) -> Diagnosis:
+    return Diagnosis(path=path, kind=kind, ok=False, problems=[problem],
+                     exit_code=code)
 
 
-def _detect_kind(data: Dict) -> str:
-    from repro.ecosystem.delta import SCAN_BASELINE_FORMAT
-    from repro.experiment.checkpoint import STUDY_CHECKPOINT_FORMAT
-    from repro.learned.model import LEARNED_MODEL_FORMAT
-    from repro.scenario.timeline import SCENARIO_FORMAT
-    from repro.service.index import RISK_INDEX_FORMAT
-
-    if data.get("format") == SCENARIO_FORMAT:
-        return KIND_SCENARIO
-    if data.get("format") == STUDY_CHECKPOINT_FORMAT:
-        return KIND_STUDY_CHECKPOINT
-    # the scan baseline, risk index, and typo model carry explicit
-    # format tags, so test them before the schema-shape heuristics
-    # (they also share generic keys like seed)
-    if data.get("format") == SCAN_BASELINE_FORMAT:
-        return KIND_SCAN_BASELINE
-    if data.get("format") == RISK_INDEX_FORMAT:
-        return KIND_RISK_INDEX
-    if data.get("format") == LEARNED_MODEL_FORMAT:
-        return KIND_TYPO_MODEL
-    if {"seed", "max_rank", "shards"} <= set(data):
-        return KIND_SCAN_CHECKPOINT
-    if "baseline" in data and isinstance(data["baseline"], dict):
-        return KIND_PERF_BASELINE
-    plan_keys = {"collector_outages", "dns_spells", "smtp_spells",
-                 "shard_crashes", "study_crashes", "service_spells",
-                 "retry"}
-    if "seed" in data and plan_keys & set(data):
-        return KIND_FAULT_PLAN
-    return KIND_UNKNOWN
+# -- the registry --------------------------------------------------------------
 
 
-def _kind_from_name(path: Path) -> tuple:
-    """Best-effort kind (and exit code) for an unparseable file."""
-    name = path.name.lower()
-    if "plan" in name:
-        return KIND_FAULT_PLAN, EXIT_BAD_INPUT
-    if "ckpt" in name or "checkpoint" in name:
-        # can't tell study from scan without content; either way the
-        # remedy (and exit code) is the same
-        return KIND_STUDY_CHECKPOINT, EXIT_CORRUPT_CHECKPOINT
-    if "baseline" in name:
-        # a torn scan baseline is corrupt durable state, like a torn
-        # checkpoint: the remedy is a rebuild, the exit code is 3
-        return KIND_SCAN_BASELINE, EXIT_CORRUPT_CHECKPOINT
-    if "index" in name:
-        # same story for a torn persisted risk index: durable state
-        # the service would refuse, so exit 3
-        return KIND_RISK_INDEX, EXIT_CORRUPT_CHECKPOINT
-    if "model" in name:
-        # a torn typo-model artifact is the same durable-state story
-        return KIND_TYPO_MODEL, EXIT_CORRUPT_CHECKPOINT
-    if "scenario" in name:
-        # a torn scenario timeline can't be trusted to replay; exit 3
-        return KIND_SCENARIO, EXIT_CORRUPT_CHECKPOINT
-    return KIND_UNKNOWN, EXIT_BAD_INPUT
-
-
-# -- per-kind validators ------------------------------------------------------
-
-
-def _check_study_checkpoint(path: Path, data: Dict) -> Diagnosis:
-    from repro.experiment.checkpoint import StudyCheckpoint
-
+def _load_perf_baseline(path: Path) -> Dict:
+    """The ``baseline`` block of a ``BENCH_perf.json``, shape-checked."""
     try:
-        payload = StudyCheckpoint(path).load()
-    except ReproError as error:
-        return Diagnosis(path=path, kind=KIND_STUDY_CHECKPOINT, ok=False,
-                         problems=[str(error)],
-                         exit_code=error.exit_code)
-    details = {
-        "next_day": payload["next_day"],
-        "mode": payload["state"].get("mode"),
-        "sent": payload["state"].get("sent"),
-        "digest": str(payload["payload_sha256"])[:12],
-    }
-    return Diagnosis(path=path, kind=KIND_STUDY_CHECKPOINT, ok=True,
-                     details=details)
-
-
-def _check_scan_checkpoint(path: Path, data: Dict) -> Diagnosis:
-    from repro.experiment.parallel import ScanCheckpoint
-
-    try:
-        # loading through the engine's own class revalidates every
-        # shard payload; seed/max_rank come from the file itself, so
-        # only structural corruption can fail here
-        checkpoint = ScanCheckpoint(path, seed=data["seed"],
-                                    max_rank=data["max_rank"])
-    except CheckpointError as error:
-        return Diagnosis(path=path, kind=KIND_SCAN_CHECKPOINT, ok=False,
-                         problems=[str(error)],
-                         exit_code=error.exit_code)
-    bad_keys = [key for key in data["shards"]
-                if not _valid_shard_key(key, data["max_rank"])]
-    if bad_keys:
-        return Diagnosis(
-            path=path, kind=KIND_SCAN_CHECKPOINT, ok=False,
-            problems=[f"shard keys outside ranks 1..{data['max_rank']}: "
-                      f"{', '.join(sorted(bad_keys)[:3])}"],
-            exit_code=EXIT_CORRUPT_CHECKPOINT)
-    details = {
-        "seed": data["seed"],
-        "max_rank": data["max_rank"],
-        "shards_done": checkpoint.completed_count,
-    }
-    return Diagnosis(path=path, kind=KIND_SCAN_CHECKPOINT, ok=True,
-                     details=details)
-
-
-def _valid_shard_key(key: str, max_rank: int) -> bool:
-    start_text, sep, stop_text = key.partition("-")
-    if not sep:
-        return False
-    try:
-        start, stop = int(start_text), int(stop_text)
-    except ValueError:
-        return False
-    return 1 <= start < stop <= max_rank + 1
-
-
-def _check_scan_baseline(path: Path, data: Dict) -> Diagnosis:
-    from repro.ecosystem.delta import ScanBaseline
-
-    try:
-        # the engine's own loader revalidates the format tag, every
-        # per-range aggregates digest, and the merged total digest
-        baseline = ScanBaseline.load(path)
-    except ReproError as error:
-        return Diagnosis(path=path, kind=KIND_SCAN_BASELINE, ok=False,
-                         problems=[str(error)],
-                         exit_code=error.exit_code)
-    details = {
-        "seed": baseline.seed,
-        "max_rank": baseline.max_rank,
-        "day": baseline.day,
-        "ranges": len(baseline.ranges),
-        "digest": baseline.total_digest()[:12],
-    }
-    return Diagnosis(path=path, kind=KIND_SCAN_BASELINE, ok=True,
-                     details=details)
-
-
-def _check_fault_plan(path: Path, data: Dict) -> Diagnosis:
-    from repro.faultsim.plan import FaultPlan
-
-    try:
-        plan = FaultPlan.from_dict(data)
-    except (ValueError, TypeError, KeyError) as error:
-        return Diagnosis(path=path, kind=KIND_FAULT_PLAN, ok=False,
-                         problems=[f"invalid fault plan: {error}"],
-                         exit_code=EXIT_BAD_INPUT)
-    details = {
-        "digest": plan.digest()[:12],
-        "empty": plan.is_empty,
-        "service_spells": len(plan.service_spells),
-    }
-    return Diagnosis(path=path, kind=KIND_FAULT_PLAN, ok=True,
-                     details=details)
-
-
-def _check_risk_index(path: Path, data: Dict) -> Diagnosis:
-    from repro.service.index import TypoRiskIndex
-
-    try:
-        # the service's own loader revalidates the format tag, the
-        # payload self-digest, the config digest, and re-derives the
-        # candidate buckets from (seed, max_rank) to catch tampering
-        index = TypoRiskIndex.load(path)
-    except ReproError as error:
-        return Diagnosis(path=path, kind=KIND_RISK_INDEX, ok=False,
-                         problems=[str(error)],
-                         exit_code=error.exit_code)
-    details = {
-        "seed": index.seed,
-        "max_rank": index.max_rank,
-        "day": index.day,
-        "head_buckets": index.head_bucket_count,
-    }
-    return Diagnosis(path=path, kind=KIND_RISK_INDEX, ok=True,
-                     details=details)
-
-
-def _check_typo_model(path: Path, data: Dict) -> Diagnosis:
-    from repro.learned.model import load_model
-
-    try:
-        # the learned package's own loader re-verifies the self-digest,
-        # parameter shapes, and the feature-schema version; corruption
-        # exits 3, an unknown schema version exits 2 (intact artifact,
-        # wrong vintage — the remedy is a retrain, not a restore)
-        model = load_model(path)
-    except ReproError as error:
-        return Diagnosis(path=path, kind=KIND_TYPO_MODEL, ok=False,
-                         problems=[str(error)],
-                         exit_code=error.exit_code)
-    details = {
-        "seed": model.seed,
-        "schema": model.schema_version,
-        "stumps": len(model.domain.stumps) + len(model.message.stumps),
-        "digest": model.digest()[:12],
-    }
-    return Diagnosis(path=path, kind=KIND_TYPO_MODEL, ok=True,
-                     details=details)
-
-
-def _check_scenario(path: Path, data: Dict) -> Diagnosis:
-    from repro.scenario.timeline import Scenario
-
-    try:
-        # the scenario package's own loader re-verifies the format tag
-        # and self-digest (corruption exits 3) and re-validates every
-        # event through the schema (an unknown event kind is an intact
-        # file this build can't drive — a one-line exit 2)
-        scenario = Scenario.load(path)
-    except ReproError as error:
-        return Diagnosis(path=path, kind=KIND_SCENARIO, ok=False,
-                         problems=[str(error)],
-                         exit_code=error.exit_code)
-    details = {
-        "seed": scenario.seed,
-        "name": scenario.name,
-        "events": len(scenario.events),
-        "last_day": scenario.last_event_day(),
-        "digest": scenario.digest()[:12],
-    }
-    return Diagnosis(path=path, kind=KIND_SCENARIO, ok=True,
-                     details=details)
-
-
-def _check_perf_baseline(path: Path, data: Dict) -> Diagnosis:
-    problems: List[str] = []
-    baseline = data["baseline"]
-    study = baseline.get("study")
-    if not isinstance(study, dict):
-        problems.append("baseline.study section missing")
-    else:
+        baseline = json.loads(path.read_text(encoding="utf-8"))["baseline"]
+        study = baseline["study"]
         for key in ("wall_seconds", "emails_sent", "records"):
-            value = study.get(key)
-            if not isinstance(value, (int, float)) or value < 0:
-                problems.append(f"baseline.study.{key} missing or negative")
-    for section in ("scan", "streaming_scan"):
-        block = baseline.get(section)
-        if block is not None and not isinstance(block, dict):
-            problems.append(f"baseline.{section} is not an object")
-    if problems:
-        return Diagnosis(path=path, kind=KIND_PERF_BASELINE, ok=False,
-                         problems=problems, exit_code=EXIT_BAD_INPUT)
-    details = {"sections": len([k for k in baseline
-                                if isinstance(baseline[k], dict)])}
-    return Diagnosis(path=path, kind=KIND_PERF_BASELINE, ok=True,
-                     details=details)
+            if not study[key] >= 0:
+                raise ValueError(f"baseline.study.{key} is negative")
+        for section in ("scan", "streaming_scan"):
+            block = baseline.get(section)
+            if block is not None and not isinstance(block, dict):
+                raise ValueError(f"baseline.{section} is not an object")
+    except (OSError, ValueError, KeyError, TypeError) as error:
+        raise ConfigError(f"invalid perf baseline {path} "
+                          f"({type(error).__name__}: {error})") from error
+    return baseline
+
+
+_PLAN_KEYS = {"collector_outages", "dns_spells", "smtp_spells",
+              "shard_crashes", "study_crashes", "service_spells", "retry"}
+
+#: every kind the doctor knows; format-tagged kinds come first because
+#: the shape rules below them test generic keys such as ``seed``
+REGISTRY: Tuple[DoctorKind, ...] = (
+    DoctorKind(
+        KIND_SCENARIO, Scenario.load,
+        lambda scenario: {"seed": scenario.seed, "name": scenario.name,
+                          "events": len(scenario.events),
+                          "last_day": scenario.last_event_day(),
+                          "digest": scenario.digest()[:12]},
+        format_tag=SCENARIO_FORMAT, name_hints=("scenario",)),
+    DoctorKind(
+        KIND_STUDY_CHECKPOINT, lambda path: StudyCheckpoint(path).load(),
+        lambda payload: {"next_day": payload["next_day"],
+                         "mode": payload["state"].get("mode"),
+                         "sent": payload["state"].get("sent"),
+                         "digest": str(payload["payload_sha256"])[:12]},
+        format_tag=STUDY_CHECKPOINT_FORMAT,
+        # a torn study or scan checkpoint can't be told apart by name;
+        # either way the remedy (and exit code) is the same
+        name_hints=("ckpt", "checkpoint")),
+    DoctorKind(
+        KIND_SCAN_BASELINE, ScanBaseline.load,
+        lambda baseline: {"seed": baseline.seed,
+                          "max_rank": baseline.max_rank,
+                          "day": baseline.day,
+                          "ranges": len(baseline.ranges),
+                          "digest": baseline.total_digest()[:12]},
+        format_tag=SCAN_BASELINE_FORMAT, name_hints=("baseline",)),
+    DoctorKind(
+        KIND_RISK_INDEX, TypoRiskIndex.load,
+        lambda index: {"seed": index.seed, "max_rank": index.max_rank,
+                       "day": index.day,
+                       "head_buckets": index.head_bucket_count},
+        format_tag=RISK_INDEX_FORMAT, name_hints=("index",)),
+    DoctorKind(
+        KIND_TYPO_MODEL, load_model,
+        lambda model: {"seed": model.seed, "schema": model.schema_version,
+                       "stumps": (len(model.domain.stumps)
+                                  + len(model.message.stumps)),
+                       "digest": model.digest()[:12]},
+        format_tag=LEARNED_MODEL_FORMAT, name_hints=("model",)),
+    DoctorKind(
+        KIND_SCAN_CHECKPOINT, ScanCheckpoint.from_file,
+        lambda checkpoint: {"seed": checkpoint.seed,
+                            "max_rank": checkpoint.max_rank,
+                            "shards_done": checkpoint.completed_count},
+        shape=lambda data: {"seed", "max_rank", "shards"} <= set(data)),
+    DoctorKind(
+        KIND_PERF_BASELINE, _load_perf_baseline,
+        lambda baseline: {"sections": len([key for key in baseline
+                                           if isinstance(baseline[key],
+                                                         dict)])},
+        shape=lambda data: isinstance(data.get("baseline"), dict)),
+    DoctorKind(
+        KIND_FAULT_PLAN, FaultPlan.load,
+        lambda plan: {"digest": plan.digest()[:12], "empty": plan.is_empty,
+                      "service_spells": len(plan.service_spells)},
+        shape=lambda data: "seed" in data and bool(_PLAN_KEYS & set(data)),
+        name_hints=("plan",), torn_exit=EXIT_BAD_INPUT),
+)

@@ -3,7 +3,6 @@
 from repro.ecosystem.aggregates import ScanAggregates
 from repro.ecosystem.delta import (
     SCAN_BASELINE_FORMAT,
-    ChurnSchedule,
     DeltaScanResult,
     RangeRecord,
     ScanBaseline,
@@ -71,7 +70,6 @@ __all__ = [
     "WorldModel",
     "DomainState",
     "SCAN_BASELINE_FORMAT",
-    "ChurnSchedule",
     "WorldEvent",
     "WorldEvolution",
     "DeltaScanResult",

@@ -12,13 +12,12 @@ digests.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.ecosystem.internet import OwnerType, SmtpSupport
+from repro.util.artifact import payload_digest
 
 __all__ = ["ScanAggregates"]
 
@@ -137,11 +136,6 @@ class ScanAggregates:
         return {support: 100.0 * count / total
                 for support, count in self.support_table().items()}
 
-    def accepting_count(self) -> int:
-        """Observed ctypos whose support class can accept mail."""
-        return sum(count for support, count in self.support_table().items()
-                   if support.can_accept_mail)
-
     # -- determinism -------------------------------------------------------
 
     def canonical_dict(self) -> Dict:
@@ -163,9 +157,7 @@ class ScanAggregates:
 
     def digest(self) -> str:
         """SHA-256 over the canonical counts — the serial==sharded bar."""
-        payload = json.dumps(self.canonical_dict(), sort_keys=True,
-                             separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return payload_digest(self.canonical_dict())
 
     @classmethod
     def from_canonical_dict(cls, data: Dict) -> "ScanAggregates":

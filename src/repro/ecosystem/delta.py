@@ -6,7 +6,7 @@ re-scan every day costs the whole universe even though registrations and
 expirations touch a tiny fraction of ranks.  This module makes a re-scan
 cost proportional to what *changed*:
 
-* :class:`ChurnSchedule` derives each day's registration/expiration
+* :class:`WorldEvolution` derives each day's registration/expiration
   churn deterministically from ``(seed, day)`` — rank ``r`` churns on
   day ``d`` iff its day-``d`` uniform falls below the daily rate.  A
   churned rank's *generation* increments; the
@@ -17,7 +17,8 @@ cost proportional to what *changed*:
 * :class:`ScanBaseline` persists a completed scan as per-rank-range
   sub-aggregates, each stamped with the *world digest* of its range (a
   hash of the churn generations inside it) — the same canonical-JSON +
-  SHA-256 + atomic-write discipline as the scan checkpoint.
+  SHA-256 + atomic-write envelope (:mod:`repro.util.artifact`) as
+  every other artifact.
 * :func:`delta_scan` evolves the world by N days, recomputes only the
   ranges whose world digest changed, merges with the retained ranges,
   and returns both the merged aggregates and an updated baseline.  The
@@ -27,9 +28,6 @@ cost proportional to what *changed*:
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -38,12 +36,18 @@ import numpy as np
 
 from repro.ecosystem.aggregates import ScanAggregates
 from repro.ecosystem.internet import InternetConfig
-from repro.util.errors import CheckpointCorruptError, CheckpointMismatchError
+from repro.util.artifact import (
+    ArtifactKind,
+    corrupt_payload,
+    payload_digest,
+    read_artifact,
+    write_artifact,
+)
+from repro.util.errors import CheckpointMismatchError
 from repro.util.perf import PerfRegistry
 
 __all__ = [
     "SCAN_BASELINE_FORMAT",
-    "ChurnSchedule",
     "WorldEvent",
     "WorldEvolution",
     "RangeRecord",
@@ -57,59 +61,10 @@ __all__ = [
 #: artifact format tag; bump when the on-disk schema changes
 SCAN_BASELINE_FORMAT = "repro-scan-baseline@1"
 
+SCAN_BASELINE = ArtifactKind("scan baseline", SCAN_BASELINE_FORMAT,
+                             remedy="rebuild it with a full scan")
+
 _DEFAULT_RANGE_WIDTH = 1024
-
-
-@dataclass(frozen=True)
-class ChurnSchedule:
-    """Deterministic daily registration/expiration churn.
-
-    Day ``d``'s events are a pure function of ``(seed, d)``: rank ``r``
-    churns on day ``d`` iff the ``r``-th uniform of the day-keyed
-    "churn" stream falls below ``daily_rate``.  Generations accumulate
-    across days, so the world at day ``N`` is independent of how many
-    intermediate snapshots were taken along the way.
-    """
-
-    seed: int
-    max_rank: int
-    daily_rate: float = 0.004
-
-    def __post_init__(self) -> None:
-        if self.max_rank < 1:
-            raise ValueError("max_rank must be >= 1")
-        if not 0.0 <= self.daily_rate <= 1.0:
-            raise ValueError("daily_rate must be in [0, 1]")
-
-    def day_events(self, day: int) -> List[int]:
-        """The ranks that churn on ``day`` (1-based), ascending."""
-        if day < 1:
-            raise ValueError("days are 1-based")
-        from repro.ecosystem.world import _rank_uniforms
-
-        uniforms = _rank_uniforms(self.seed, "churn", day, self.max_rank)
-        return (np.flatnonzero(uniforms < self.daily_rate) + 1).tolist()
-
-    def generations(self, days: int) -> Dict[int, int]:
-        """Cumulative churn map after ``days`` days: rank -> generation.
-
-        Only churned ranks appear (generation >= 1); every absent rank
-        is generation 0 — byte-identical to the day-0 world.
-        """
-        if days < 0:
-            raise ValueError("days must be non-negative")
-        if days == 0 or self.daily_rate == 0.0:
-            return {}
-        from repro.ecosystem.world import _rank_uniforms
-
-        counts: Optional[np.ndarray] = None
-        for day in range(1, days + 1):
-            uniforms = _rank_uniforms(self.seed, "churn", day, self.max_rank)
-            hits = uniforms < self.daily_rate
-            counts = hits.astype(np.int64) if counts is None else counts + hits
-        churned = np.flatnonzero(counts)
-        return {int(position) + 1: int(counts[position])
-                for position in churned}
 
 
 @dataclass(frozen=True)
@@ -121,7 +76,7 @@ class WorldEvent:
     of ``(seed, name, r)`` (via :func:`~repro.util.rand.derive_seed`),
     so replay is byte-identical at any shard layout and independent of
     event ordering.  A churned rank's generation bumps by one — the
-    same re-keying law :class:`ChurnSchedule` uses, so registrations,
+    same re-keying law the background churn uses, so registrations,
     expirations, and re-registrations all fall out of the world model's
     generation streams.
     """
@@ -157,13 +112,17 @@ class WorldEvent:
 
 @dataclass(frozen=True)
 class WorldEvolution:
-    """Event-driven world evolution: daily churn + discrete events.
+    """Deterministic world evolution: daily churn + discrete events.
 
-    Generalizes :class:`ChurnSchedule` — the same duck-typed surface
-    (``seed`` / ``max_rank`` / ``generations(day)`` / ``day_events(day)``)
-    the risk index's ``apply_delta`` / ``hot_swap`` consume, but the
-    churn map at day ``d`` merges the background daily churn with every
-    :class:`WorldEvent` whose day has arrived.  With ``daily_rate == 0``
+    Background churn on day ``d`` is a pure function of ``(seed, d)``:
+    rank ``r`` churns iff the ``r``-th uniform of the day-keyed "churn"
+    stream falls below ``daily_rate``.  On top of it, every
+    :class:`WorldEvent` whose day has arrived churns its own ranks.
+    Generations accumulate across days, so the world at day ``N`` is
+    independent of how many intermediate snapshots were taken along the
+    way.  This is the surface (``seed`` / ``max_rank`` /
+    ``generations(day)`` / ``day_events(day)``) the risk index's
+    ``apply_delta`` / ``hot_swap`` consume.  With ``daily_rate == 0``
     and no events it reproduces the static world exactly
     (``generations(d) == {}`` for all ``d``).
     """
@@ -184,15 +143,18 @@ class WorldEvolution:
                     f"event {event.name!r} reaches rank {event.rank_hi} "
                     f"beyond max_rank {self.max_rank}")
 
-    def _base(self) -> ChurnSchedule:
-        return ChurnSchedule(self.seed, self.max_rank, self.daily_rate)
-
     def day_events(self, day: int) -> List[int]:
-        """Ranks that churn on ``day`` — background plus events, merged."""
-        churned = set(self._base().day_events(day)
-                      if self.daily_rate > 0.0 else [])
+        """Ranks that churn on ``day`` (1-based) — background plus
+        events, merged, ascending."""
         if day < 1:
             raise ValueError("days are 1-based")
+        churned = set()
+        if self.daily_rate > 0.0:
+            from repro.ecosystem.world import _rank_uniforms
+
+            uniforms = _rank_uniforms(self.seed, "churn", day, self.max_rank)
+            churned.update(
+                (np.flatnonzero(uniforms < self.daily_rate) + 1).tolist())
         for event in self.events:
             if event.day == day:
                 churned.update(event.churned_ranks(self.seed))
@@ -201,11 +163,23 @@ class WorldEvolution:
     def generations(self, days: int) -> Dict[int, int]:
         """Cumulative churn map after ``days`` days: rank -> generation.
 
+        Only churned ranks appear (generation >= 1); every absent rank
+        is generation 0 — byte-identical to the day-0 world.
         Order-independent: each event contributes its own generation
         bumps on top of the background churn, so the day-``N`` world is
         a pure function of ``(seed, events with day <= N)``.
         """
-        counts: Dict[int, int] = dict(self._base().generations(days))
+        if days < 0:
+            raise ValueError("days must be non-negative")
+        counts: Dict[int, int] = {}
+        if days > 0 and self.daily_rate > 0.0:
+            from repro.ecosystem.world import _rank_uniforms
+
+            hits = sum((_rank_uniforms(self.seed, "churn", day, self.max_rank)
+                        < self.daily_rate).astype(np.int64)
+                       for day in range(1, days + 1))
+            counts = {int(position) + 1: int(hits[position])
+                      for position in np.flatnonzero(hits)}
         for event in self.events:
             if event.day <= days:
                 for rank in event.churned_ranks(self.seed):
@@ -225,11 +199,8 @@ def world_range_digest(seed: int, start_rank: int, stop_rank: int,
     events = sorted((rank, generation)
                     for rank, generation in churn_map.items()
                     if start_rank <= rank < stop_rank)
-    payload = json.dumps(
-        {"seed": seed, "start": start_rank, "stop": stop_rank,
-         "events": events},
-        sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return payload_digest({"seed": seed, "start": start_rank,
+                           "stop": stop_rank, "events": events})
 
 
 def _jsonable(value):
@@ -247,9 +218,7 @@ def _jsonable(value):
 
 def _config_digest(config: Optional[InternetConfig]) -> str:
     """Fingerprint of the world config baked into a baseline."""
-    payload = json.dumps(_jsonable(asdict(config or InternetConfig())),
-                         sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return payload_digest(_jsonable(asdict(config or InternetConfig())))
 
 
 def _width_ranges(max_rank: int, width: int) -> List[Tuple[int, int]]:
@@ -287,9 +256,8 @@ class ScanBaseline:
     ``day`` is the churn day the baseline captures (0 = the pristine
     world); ``churn_rate`` rides along so a delta re-scan evolves the
     same world law the baseline was built against.  ``save``/``load``
-    follow the checkpoint discipline: atomic tmp+fsync+rename writes,
-    and loading validates the format tag, every per-range digest, and
-    the merged total digest — corruption is a loud
+    go through the shared artifact envelope, and loading also validates
+    every per-range digest and the merged total digest — corruption is a loud
     :class:`CheckpointCorruptError`, never a silently wrong count.
     """
 
@@ -325,37 +293,19 @@ class ScanBaseline:
         }
 
     def save(self, path: Union[str, Path]) -> None:
-        """Atomically persist the baseline (tmp + flush + fsync + rename)."""
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(self.canonical_dict(), sort_keys=True))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        """Atomically persist the baseline."""
+        write_artifact(path, self.canonical_dict(), SCAN_BASELINE)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ScanBaseline":
         """Load and validate a baseline written by :meth:`save`.
 
-        Unreadable JSON, a wrong/missing format tag, malformed ranges,
-        or any digest mismatch (per-range or total) raises
-        :class:`CheckpointCorruptError`.
+        Unreadable JSON, malformed ranges, or any digest mismatch
+        (per-range or total) raises :class:`CheckpointCorruptError`; a
+        wrong format tag raises :class:`CheckpointMismatchError`.
         """
-        path = Path(path)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-            if not isinstance(data, dict):
-                raise ValueError("baseline root is not an object")
-        except (OSError, ValueError, UnicodeDecodeError) as error:
-            raise CheckpointCorruptError(
-                f"scan baseline {path} is unreadable ({error}); "
-                f"rebuild it with a full scan") from error
-        if data.get("format") != SCAN_BASELINE_FORMAT:
-            raise CheckpointMismatchError(
-                f"{path} has format {data.get('format')!r}, "
-                f"expected {SCAN_BASELINE_FORMAT!r}")
-        try:
+        data = read_artifact(path, SCAN_BASELINE)
+        with corrupt_payload(path, SCAN_BASELINE):
             ranges = []
             for payload in data["ranges"]:
                 aggregates = ScanAggregates.from_canonical_dict(
@@ -379,10 +329,6 @@ class ScanBaseline:
                 ranges=tuple(ranges))
             if baseline.total_digest() != data["total_digest"]:
                 raise ValueError("merged ranges do not match total_digest")
-        except (KeyError, TypeError, ValueError, AttributeError) as error:
-            raise CheckpointCorruptError(
-                f"scan baseline {path} is corrupt ({error}); "
-                f"rebuild it with a full scan") from error
         return baseline
 
 
@@ -445,7 +391,7 @@ def build_scan_baseline(seed: int, max_rank: int, *,
     this), so building a baseline costs one full scan — after which
     every re-scan pays only for churned ranges.
     """
-    schedule = ChurnSchedule(seed, max_rank, churn_rate)
+    schedule = WorldEvolution(seed, max_rank, churn_rate)
     churn_map = schedule.generations(day)
     ranges = _width_ranges(max_rank, range_width)
     per_range = _scan_ranges(seed, max_rank, ranges, churn_map, config,
@@ -478,8 +424,8 @@ def delta_scan(baseline: ScanBaseline, day: int, *,
     if _config_digest(config) != baseline.config_digest:
         raise CheckpointMismatchError(
             "baseline was built for a different world config")
-    schedule = ChurnSchedule(baseline.seed, baseline.max_rank,
-                             baseline.churn_rate)
+    schedule = WorldEvolution(baseline.seed, baseline.max_rank,
+                              baseline.churn_rate)
     churn_map = schedule.generations(day)
 
     stale: List[Tuple[int, int]] = []

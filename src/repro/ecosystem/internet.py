@@ -225,12 +225,9 @@ class SimulatedInternet:
         #: populated by the builder
         self.subdomain_typo_domains: List[str] = []
         self._by_domain = {w.domain: w for w in wild_domains}
-        # lookup indexes built once: rank by domain, domains by owner, and
-        # the squatter subset — callers hit these in O(ctypos)-sized loops
+        # lookup indexes built once: rank by domain and the squatter
+        # subset — callers hit these in O(ctypos)-sized loops
         self._rank_by_domain = {e.domain: e.rank for e in alexa}
-        self._by_owner: Dict[str, List[WildDomain]] = {}
-        for w in wild_domains:
-            self._by_owner.setdefault(w.owner_id, []).append(w)
         self._squatting = [w for w in wild_domains if w.is_squatting]
 
     def ground_truth(self, domain: str) -> Optional[WildDomain]:
@@ -244,10 +241,6 @@ class SimulatedInternet:
     def squatting_domains(self) -> List[WildDomain]:
         """The ctypos owned by squatters (any size class)."""
         return list(self._squatting)
-
-    def domains_of_owner(self, owner_id: str) -> List[WildDomain]:
-        """All wild domains registered to one owner."""
-        return list(self._by_owner.get(owner_id, ()))
 
 
 def build_internet(rng: SeededRng,

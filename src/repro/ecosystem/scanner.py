@@ -97,12 +97,6 @@ class EcosystemScan:
         self._require_results("accepting_results")
         return [r for r in self.results if r.support.can_accept_mail]
 
-    def results_for_targets(self, targets: Sequence[str]) -> List[ScanResult]:
-        """Scan results restricted to typos of the given targets."""
-        self._require_results("results_for_targets")
-        wanted = set(targets)
-        return [r for r in self.results if r.target in wanted]
-
 
 class EcosystemScanner:
     """Runs the §5.1 methodology against a :class:`SimulatedInternet`.

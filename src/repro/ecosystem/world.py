@@ -137,11 +137,6 @@ class DomainState:
                                    OwnerType.MEDIUM_SQUATTER,
                                    OwnerType.SMALL_SQUATTER)
 
-    @property
-    def is_bulk(self) -> bool:
-        return self.owner_type in (OwnerType.BULK_SQUATTER,
-                                   OwnerType.MEDIUM_SQUATTER)
-
     def candidate(self) -> TypoCandidate:
         """The generator-equivalent :class:`TypoCandidate` for this ctypo."""
         label, _ = split_domain(self.target)
@@ -851,11 +846,6 @@ def _filler_chunk(seed: int, chunk: int) -> Tuple[List[str], List[int]]:
         append_count(74 * (len(label) + len(digits)) + 32 - 2 * dups)
         append_name(f"{label}{digits}.com")
     return names, counts
-
-
-def _filler_labels(seed: int, chunk: int) -> List[str]:
-    """Filler target domains for indices [chunk*N, (chunk+1)*N)."""
-    return _filler_chunk(seed, chunk)[0]
 
 
 # -- the world model ----------------------------------------------------------

@@ -22,8 +22,6 @@ everything degrades to the serial path with the same outputs.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -59,6 +57,12 @@ from repro.util.pool import (                                    # noqa: F401
     _note_pool_fallback,
     parallel_map,
     pool_fallback_count,
+)
+from repro.util.artifact import (
+    ArtifactKind,
+    corrupt_payload,
+    read_artifact,
+    write_artifact,
 )
 from repro.util.errors import CheckpointCorruptError, CheckpointMismatchError
 from repro.util.rand import derive_seed
@@ -433,15 +437,20 @@ class ResilientScanResult:
         return lines
 
 
+SCAN_CHECKPOINT = ArtifactKind("scan checkpoint", None,
+                               remedy="delete it to start fresh")
+
+
 class ScanCheckpoint:
     """Durable shard-level progress for one (seed, max_rank) scan.
 
     One JSON file maps ``"start-stop"`` range keys to canonical
-    :class:`ScanAggregates` dicts.  Writes are atomic (tmp + rename), and
-    the canonical round-trip preserves digests exactly, so a resumed scan
-    is byte-identical to an uninterrupted one.  Loading a checkpoint
-    written for a different seed or universe size is an error, not a
-    silent wrong answer.
+    :class:`ScanAggregates` dicts, persisted through the shared artifact
+    envelope (the scan checkpoint carries no format tag and no
+    self-digest: each shard's canonical round-trip preserves its
+    aggregates digest exactly, so a resumed scan is byte-identical to an
+    uninterrupted one).  Loading a checkpoint written for a different
+    seed or universe size is an error, not a silent wrong answer.
     """
 
     def __init__(self, path: Union[str, Path], seed: int,
@@ -450,35 +459,37 @@ class ScanCheckpoint:
         self.seed = seed
         self.max_rank = max_rank
         self._shards: Dict[Tuple[int, int], ScanAggregates] = {}
-        self._load()
+        if self.path.exists():
+            self._load(read_artifact(self.path, SCAN_CHECKPOINT))
 
-    def _load(self) -> None:
-        if not self.path.exists():
-            return
-        try:
-            data = json.loads(self.path.read_text(encoding="utf-8"))
-            if not isinstance(data, dict):
-                raise ValueError("checkpoint root is not an object")
-        except (ValueError, UnicodeDecodeError) as error:
-            # torn write, truncation, or plain corruption: a clear
-            # diagnosis (and exit code 3), not a bare JSONDecodeError
-            raise CheckpointCorruptError(
-                f"scan checkpoint {self.path} is unreadable "
-                f"({error}); delete it to start fresh") from error
-        if data.get("seed") != self.seed or data.get("max_rank") != self.max_rank:
+    @classmethod
+    def from_file(cls, path: Union[str, Path]) -> "ScanCheckpoint":
+        """Open an existing checkpoint under the identity it records."""
+        data = read_artifact(path, SCAN_CHECKPOINT)
+        return cls(path, data.get("seed"), data.get("max_rank"))
+
+    def _load(self, data: Dict) -> None:
+        seed, max_rank = data.get("seed"), data.get("max_rank")
+        for name, value in (("seed", seed), ("max_rank", max_rank)):
+            # a string "10" would never match a scan at max_rank=10
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise CheckpointCorruptError(
+                    f"scan checkpoint {self.path} has a non-integer {name} "
+                    f"({value!r}); delete it to start fresh")
+        if seed != self.seed or max_rank != self.max_rank:
             raise CheckpointMismatchError(
                 f"checkpoint {self.path} was written for "
-                f"seed={data.get('seed')} max_rank={data.get('max_rank')}, "
+                f"seed={seed} max_rank={max_rank}, "
                 f"not seed={self.seed} max_rank={self.max_rank}")
-        try:
+        with corrupt_payload(self.path, SCAN_CHECKPOINT):
             for key, payload in data.get("shards", {}).items():
                 start_text, _, stop_text = key.partition("-")
-                self._shards[(int(start_text), int(stop_text))] = (
+                start, stop = int(start_text), int(stop_text)
+                if not 1 <= start < stop <= max_rank + 1:
+                    raise ValueError(
+                        f"shard {key!r} lies outside ranks 1..{max_rank}")
+                self._shards[(start, stop)] = (
                     ScanAggregates.from_canonical_dict(payload))
-        except (KeyError, TypeError, ValueError, AttributeError) as error:
-            raise CheckpointCorruptError(
-                f"scan checkpoint {self.path} has a malformed shard "
-                f"payload ({error}); delete it to start fresh") from error
 
     def get(self, start_rank: int, stop_rank: int
             ) -> Optional[ScanAggregates]:
@@ -488,29 +499,17 @@ class ScanCheckpoint:
                aggregates: ScanAggregates) -> None:
         """Persist one completed shard (atomic rewrite of the file)."""
         self._shards[(start_rank, stop_rank)] = aggregates
-        self._write()
+        write_artifact(self.path, {
+            "seed": self.seed,
+            "max_rank": self.max_rank,
+            "shards": {f"{start}-{stop}": shard.canonical_dict()
+                       for (start, stop), shard
+                       in sorted(self._shards.items())},
+        }, SCAN_CHECKPOINT)
 
     @property
     def completed_count(self) -> int:
         return len(self._shards)
-
-    def _write(self) -> None:
-        payload = {
-            "seed": self.seed,
-            "max_rank": self.max_rank,
-            "shards": {f"{start}-{stop}": aggregates.canonical_dict()
-                       for (start, stop), aggregates
-                       in sorted(self._shards.items())},
-        }
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        # fsync before the rename: os.replace is atomic against *other
-        # writers*, but without the flush a crash can still publish a
-        # torn file (the rename survives, the data blocks may not)
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, sort_keys=True))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
 
 
 def _map_shards_guarded(tasks: Sequence[ScanShardTask],

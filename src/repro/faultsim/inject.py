@@ -124,11 +124,6 @@ class StudyFaultInjector:
         self._greylist_seen = {tuple(envelope)
                                for envelope in data["greylist_seen"]}
 
-    def collector_drop(self, day: int) -> bool:
-        """Whether the central collector black-holes mail on ``day``."""
-        return any(span.covers(day) and span.mode == "drop"
-                   for span in self.plan.collector_outages)
-
     def drop_days(self) -> List[int]:
         """Every day on which a drop-mode outage is scheduled."""
         return sorted({day for span in self.plan.collector_outages

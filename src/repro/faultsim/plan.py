@@ -34,12 +34,14 @@ degraded run is reproduced after the fact.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from pathlib import Path
+from typing import Dict, Optional, Tuple, Union
 
 from repro.smtpsim.retryqueue import RetryPolicy
+from repro.util.artifact import canonical_json, payload_digest
+from repro.util.errors import PlanFileError
 
 __all__ = [
     "OutageSpan",
@@ -416,16 +418,29 @@ class FaultPlan:
 
     def to_json(self) -> str:
         """Canonical JSON — the digest input and the ``--fault-plan`` format."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        return canonical_json(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
         return cls.from_dict(json.loads(text))
 
+    @classmethod
+    def load(cls, path: Union[str, Path]) -> "FaultPlan":
+        """Read a ``--fault-plan`` file; any failure is a PlanFileError."""
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, ValueError) as error:
+            raise PlanFileError(
+                f"cannot read fault plan {path}: {error}") from error
+        try:
+            return cls.from_json(text)
+        except (ValueError, TypeError, KeyError, AttributeError) as error:
+            raise PlanFileError(
+                f"invalid fault plan {path}: {error}") from error
+
     def digest(self) -> str:
         """SHA-256 of the canonical JSON: the plan's reproducible identity."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+        return payload_digest(self.to_dict())
 
     # -- the demo plan behind ``--chaos`` ------------------------------------
 

@@ -44,10 +44,6 @@ class AccessMonitor:
         """Log one access event."""
         self.events.append(event)
 
-    def events_of_kind(self, kind: AccessKind) -> List[AccessEvent]:
-        """Every logged event of one kind."""
-        return [e for e in self.events if e.kind is kind]
-
     def domains_with_reads(self) -> List[str]:
         """Domains where the email was demonstrably opened."""
         return sorted({e.domain for e in self.events

@@ -71,10 +71,6 @@ class MainCollectionServer:
         """Toggle the crashed-infrastructure state (drops all mail)."""
         self._outage = outage
 
-    @property
-    def in_outage(self) -> bool:
-        return self._outage
-
     def schedule_outage_days(self, days) -> None:
         """Pre-schedule down days (fault plans); additive, idempotent."""
         self._scheduled_outage_days.update(int(day) for day in days)

@@ -257,10 +257,6 @@ class SensitiveScrubber:
         label = match.figure6_label
         return f"{SENTINEL}{label}*{token}{SENTINEL}"
 
-    def salted_hash(self, value: str) -> str:
-        """The stable pseudonym for one identifier value."""
-        return hashlib.sha256((self._salt + value).encode("utf-8")).hexdigest()[:10]
-
 
 # -- helpers --------------------------------------------------------------------
 

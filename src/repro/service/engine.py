@@ -32,7 +32,6 @@ serves from one dict probe per lookup.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -54,9 +53,10 @@ from repro.core.distances import (
 )
 from repro.core.typogen import split_domain
 from repro.defenses.risktiers import TIER_ACTIONS, RiskPolicy
-from repro.ecosystem.delta import ChurnSchedule, _config_digest
+from repro.ecosystem.delta import WorldEvolution, _config_digest
 from repro.ecosystem.internet import InternetConfig
 from repro.service.index import TypoRiskIndex, normalize_query
+from repro.util.artifact import canonical_json
 from repro.util.perf import PerfRegistry
 from repro.util.pool import parallel_map
 
@@ -121,8 +121,7 @@ class RiskVerdict:
 
     def canonical_json(self) -> str:
         """The byte form the parity suite compares."""
-        return json.dumps(self.canonical_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        return canonical_json(self.canonical_dict())
 
 
 def _flat_verdict(query: str, domain: str, verdict: str, tier: str,
@@ -364,7 +363,7 @@ class RiskEngine:
                 self._remember(verdict)
         return out
 
-    def apply_delta(self, schedule: ChurnSchedule, day: int) -> int:
+    def apply_delta(self, schedule: WorldEvolution, day: int) -> int:
         """Evolve the index to churn day ``day`` and drop stale verdicts.
 
         Since the hot-swap rework this is an alias for :meth:`hot_swap`
@@ -375,7 +374,7 @@ class RiskEngine:
         """
         return self.hot_swap(schedule, day)
 
-    def hot_swap(self, schedule: ChurnSchedule, day: int, *,
+    def hot_swap(self, schedule: WorldEvolution, day: int, *,
                  artifact_path: Optional[str] = None,
                  phase_hook: Optional[Callable[[str], None]] = None) -> int:
         """Two-phase crash-safe generation swap to churn day ``day``.

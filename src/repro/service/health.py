@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.defenses.risktiers import RiskPolicy
-from repro.ecosystem.delta import ChurnSchedule
+from repro.ecosystem.delta import WorldEvolution
 from repro.ecosystem.internet import InternetConfig
 from repro.faultsim.inject import LookupFaults, ServiceFaultInjector
 from repro.faultsim.plan import FaultPlan
@@ -122,10 +122,6 @@ class HealthMonitor:
         self.recovered = 0
         self._errors: Deque[int] = deque()
         self._clean_streak = 0
-
-    @property
-    def is_healthy(self) -> bool:
-        return self.state == "healthy"
 
     def observe(self, sequence: int, index_error: bool) -> None:
         """Fold one lookup's fault observation into the breaker."""
@@ -376,8 +372,8 @@ class ResilientServer:
     def _apply_state_faults(self, faults: LookupFaults) -> None:
         if faults.churn_day is not None:
             index = self.engine.index
-            schedule = ChurnSchedule(index.seed, index.max_rank,
-                                     daily_rate=faults.churn_rate)
+            schedule = WorldEvolution(index.seed, index.max_rank,
+                                      daily_rate=faults.churn_rate)
             self.engine.hot_swap(schedule, faults.churn_day)
             self.stats.churn_swaps += 1
         if faults.memory_pressure:

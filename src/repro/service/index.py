@@ -39,9 +39,6 @@ baseline, and ``repro doctor`` validates it through the same loader.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import re
 from pathlib import Path
 from time import perf_counter
@@ -50,9 +47,16 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 from repro.core.distances import damerau_levenshtein
 from repro.core.targets import EMAIL_TARGETS
 from repro.core.typogen import apply_edit, enumerate_edit_ops, split_domain
-from repro.ecosystem.delta import ChurnSchedule, _config_digest
+from repro.ecosystem.delta import WorldEvolution, _config_digest
 from repro.ecosystem.internet import InternetConfig
 from repro.ecosystem.world import WorldModel
+from repro.util.artifact import (
+    ArtifactKind,
+    corrupt_payload,
+    payload_digest,
+    read_artifact,
+    write_artifact,
+)
 from repro.util.errors import (
     CheckpointCorruptError,
     CheckpointMismatchError,
@@ -64,6 +68,10 @@ __all__ = ["RISK_INDEX_FORMAT", "TypoRiskIndex", "normalize_query"]
 
 #: artifact format tag; bump when the on-disk schema changes
 RISK_INDEX_FORMAT = "repro-risk-index@1"
+
+RISK_INDEX = ArtifactKind("risk index", RISK_INDEX_FORMAT,
+                          digest_field="digest",
+                          remedy="rebuild it with serve-bench --save-index")
 
 #: alphabet for reverse-edit probes of the filler law — fillers are
 #: letters+digits, so hyphen edits can never reach one
@@ -272,7 +280,7 @@ class TypoRiskIndex:
 
     # -- churn deltas ------------------------------------------------------
 
-    def _delta_against(self, schedule: ChurnSchedule,
+    def _delta_against(self, schedule: WorldEvolution,
                        day: int) -> Tuple[Dict[int, int], List[int]]:
         """Validate ``schedule`` and diff its day-``day`` churn vs ours."""
         if schedule.seed != self.seed:
@@ -290,7 +298,7 @@ class TypoRiskIndex:
                    and old_churn.get(rank, 0) != new_churn.get(rank, 0)]
         return new_churn, changed
 
-    def apply_delta(self, schedule: ChurnSchedule, day: int) -> int:
+    def apply_delta(self, schedule: WorldEvolution, day: int) -> int:
         """Evolve the index to churn day ``day``; returns ranks touched.
 
         Target *identities* never churn, so the candidate buckets and
@@ -316,7 +324,7 @@ class TypoRiskIndex:
         self.epoch += 1
         return len(changed)
 
-    def evolved_generation(self, schedule: ChurnSchedule,
+    def evolved_generation(self, schedule: WorldEvolution,
                            day: int) -> Tuple["TypoRiskIndex", int]:
         """Phase one of a hot swap: build the next generation off to the
         side, leaving this index untouched and serving.
@@ -349,7 +357,7 @@ class TypoRiskIndex:
 
     def canonical_dict(self) -> Dict:
         payload = self._payload_dict()
-        payload["digest"] = _payload_digest(payload)
+        payload["digest"] = payload_digest(payload)
         return payload
 
     def _payload_dict(self) -> Dict:
@@ -369,14 +377,8 @@ class TypoRiskIndex:
         }
 
     def save(self, path: Union[str, Path]) -> None:
-        """Atomically persist the index (tmp + flush + fsync + rename)."""
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(self.canonical_dict(), sort_keys=True))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        """Atomically persist the index."""
+        write_artifact(path, self._payload_dict(), RISK_INDEX)
 
     @classmethod
     def load(cls, path: Union[str, Path], *,
@@ -391,47 +393,19 @@ class TypoRiskIndex:
         :class:`CheckpointCorruptError`; a file built against a
         different world config raises :class:`CheckpointMismatchError`.
         """
-        path = Path(path)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-            if not isinstance(data, dict):
-                raise ValueError("index root is not an object")
-        except (OSError, ValueError, UnicodeDecodeError) as error:
-            raise CheckpointCorruptError(
-                f"risk index {path} is unreadable ({error}); "
-                f"rebuild it with serve-bench --save-index") from error
-        if data.get("format") != RISK_INDEX_FORMAT:
-            raise CheckpointMismatchError(
-                f"{path} has format {data.get('format')!r}, "
-                f"expected {RISK_INDEX_FORMAT!r}")
-        try:
-            payload = {key: value for key, value in data.items()
-                       if key != "digest"}
-            if _payload_digest(payload) != data["digest"]:
-                raise ValueError("payload does not match its digest")
+        data = read_artifact(path, RISK_INDEX)
+        with corrupt_payload(path, RISK_INDEX):
             churn = {int(rank): int(generation)
                      for rank, generation in data["churn"]}
             index = cls(int(data["seed"]), int(data["max_rank"]),
                         config=config, churn=churn, day=int(data["day"]))
-        except CheckpointMismatchError:
-            raise
-        except (KeyError, TypeError, ValueError) as error:
-            raise CheckpointCorruptError(
-                f"risk index {path} is corrupt ({error}); "
-                f"rebuild it with serve-bench --save-index") from error
-        if _config_digest(index.config) != data["config_digest"]:
+        if _config_digest(index.config) != data.get("config_digest"):
             raise CheckpointMismatchError(
                 f"risk index {path} was built for a different world config")
         derived = index._payload_dict()["head_buckets"]
-        if derived != data["head_buckets"]:
+        if derived != data.get("head_buckets"):
             raise CheckpointCorruptError(
                 f"risk index {path} candidate buckets do not match the "
                 f"world law for seed {index.seed}; the file was tampered "
                 f"with or belongs to another build")
         return index
-
-
-def _payload_digest(payload: Dict) -> str:
-    """SHA-256 self-check digest over the canonical payload JSON."""
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -598,11 +598,6 @@ class SummaryFold:
     def __len__(self) -> int:
         return len(self.results)
 
-    @property
-    def pending_count(self) -> int:
-        """Summaries awaiting the corpus-wide pass (memory high-water)."""
-        return len(self._provisional)
-
     def feed(self, summary: MessageSummary) -> Optional[FilterResult]:
         """Fold in one summary; return its terminal result or None."""
         if self._finalized:

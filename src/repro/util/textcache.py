@@ -18,9 +18,9 @@ cannot leak unboundedly, and the one the existing caches use.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Tuple
 
-__all__ = ["BoundedMemo", "iter_memos", "memo_stats", "memo_totals"]
+__all__ = ["BoundedMemo", "memo_totals"]
 
 #: default table bound, matching the existing _BODY_CACHE_MAX idiom
 DEFAULT_MAX_ENTRIES = 1 << 15
@@ -76,16 +76,6 @@ class BoundedMemo:
     def stats(self) -> Dict[str, int]:
         return {"hits": self.hits, "misses": self.misses,
                 "entries": len(self.table)}
-
-
-def iter_memos() -> Iterator["BoundedMemo"]:
-    """All registered memos, in registration order."""
-    return iter(_MEMOS.values())
-
-
-def memo_stats() -> Dict[str, Dict[str, int]]:
-    """Per-memo ``{name: {hits, misses, entries}}`` snapshot."""
-    return {name: memo.stats() for name, memo in _MEMOS.items()}
 
 
 def memo_totals() -> Tuple[int, int]:

@@ -13,8 +13,8 @@ import pytest
 
 from repro.doctor import KIND_SCAN_BASELINE, diagnose_file
 from repro.ecosystem import (
-    ChurnSchedule,
     ScanBaseline,
+    WorldEvolution,
     WorldModel,
     build_scan_baseline,
     delta_scan,
@@ -31,18 +31,18 @@ RATE = 0.004
 
 
 def _churn(days):
-    return ChurnSchedule(SEED, MAX_RANK, RATE).generations(days)
+    return WorldEvolution(SEED, MAX_RANK, RATE).generations(days)
 
 
 class TestChurnSchedule:
     def test_day_events_deterministic(self):
-        schedule = ChurnSchedule(SEED, MAX_RANK, RATE)
+        schedule = WorldEvolution(SEED, MAX_RANK, RATE)
         assert schedule.day_events(1) == schedule.day_events(1)
         assert schedule.day_events(1) != schedule.day_events(2)
 
     def test_generations_accumulate_across_days(self):
         """The day-N map is the sum of day 1..N event sets."""
-        schedule = ChurnSchedule(SEED, MAX_RANK, RATE)
+        schedule = WorldEvolution(SEED, MAX_RANK, RATE)
         by_hand = {}
         for day in (1, 2, 3):
             for rank in schedule.day_events(day):
@@ -50,18 +50,18 @@ class TestChurnSchedule:
         assert schedule.generations(3) == by_hand
 
     def test_zero_days_or_rate_is_pristine(self):
-        assert ChurnSchedule(SEED, MAX_RANK, RATE).generations(0) == {}
-        assert ChurnSchedule(SEED, MAX_RANK, 0.0).generations(50) == {}
+        assert WorldEvolution(SEED, MAX_RANK, RATE).generations(0) == {}
+        assert WorldEvolution(SEED, MAX_RANK, 0.0).generations(50) == {}
 
     def test_bad_arguments_raise(self):
         with pytest.raises(ValueError):
-            ChurnSchedule(SEED, 0, RATE)
+            WorldEvolution(SEED, 0, RATE)
         with pytest.raises(ValueError):
-            ChurnSchedule(SEED, MAX_RANK, 1.5)
+            WorldEvolution(SEED, MAX_RANK, 1.5)
         with pytest.raises(ValueError):
-            ChurnSchedule(SEED, MAX_RANK, RATE).day_events(0)
+            WorldEvolution(SEED, MAX_RANK, RATE).day_events(0)
         with pytest.raises(ValueError):
-            ChurnSchedule(SEED, MAX_RANK, RATE).generations(-1)
+            WorldEvolution(SEED, MAX_RANK, RATE).generations(-1)
 
     def test_unchurned_ranks_are_byte_identical(self):
         """Generation-0 ranks scan identically in churned and pristine

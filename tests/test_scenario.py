@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.doctor import diagnose_file, exit_code_for
-from repro.ecosystem.delta import ChurnSchedule, WorldEvent, WorldEvolution
+from repro.ecosystem.delta import WorldEvent, WorldEvolution
 from repro.scenario import (
     BUILTIN_METRICS,
     EcosystemEvent,
@@ -156,7 +156,7 @@ class TestWorldCompilation:
         scenario = Scenario(seed=SEED, name="churny", max_rank=300,
                             churn_rate=0.02)
         evolution = scenario.world_evolution()
-        schedule = ChurnSchedule(SEED, 300, 0.02)
+        schedule = WorldEvolution(SEED, 300, 0.02)
         for day in (1, 5, 20):
             assert evolution.generations(day) == schedule.generations(day)
 

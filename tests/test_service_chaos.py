@@ -222,7 +222,7 @@ class TestFaultInvisibility:
         assert server.stats.memo_shrinks > 0
 
     def test_mid_traffic_churn_swap_matches_fresh_engine(self, queries):
-        from repro.ecosystem.delta import ChurnSchedule
+        from repro.ecosystem.delta import WorldEvolution
 
         day, rate = 30, 0.01
         plan = FaultPlan(seed=SEED, service_spells=(
@@ -232,7 +232,7 @@ class TestFaultInvisibility:
         assert server.stats.churn_swaps == 1
         assert server.engine.index.day == day
         # verdicts after the swap match an engine born on the evolved world
-        schedule = ChurnSchedule(SEED, MAX_RANK, daily_rate=rate)
+        schedule = WorldEvolution(SEED, MAX_RANK, daily_rate=rate)
         evolved = RiskEngine(TypoRiskIndex(
             SEED, MAX_RANK, churn=schedule.generations(day), day=day))
         post = [evolved.lookup(q).canonical_json() for q in queries[500:]]

@@ -9,7 +9,7 @@ layer must notice the epoch bump and refuse to serve stale verdicts.
 
 import pytest
 
-from repro.ecosystem.delta import ChurnSchedule
+from repro.ecosystem.delta import WorldEvolution
 from repro.service import LookupWorkload, RiskEngine, TypoRiskIndex
 from repro.util.errors import ConfigError
 
@@ -18,7 +18,7 @@ MAX_RANK = 400
 DAY = 30
 
 # a rate high enough that 30 days churn a meaningful slice of 400 ranks
-SCHEDULE = ChurnSchedule(seed=SEED, max_rank=MAX_RANK, daily_rate=0.02)
+SCHEDULE = WorldEvolution(seed=SEED, max_rank=MAX_RANK, daily_rate=0.02)
 
 
 @pytest.fixture()
@@ -128,11 +128,11 @@ class TestScheduleValidation:
     def test_seed_mismatch_is_refused(self):
         index = TypoRiskIndex(SEED, MAX_RANK)
         with pytest.raises(ConfigError):
-            index.apply_delta(ChurnSchedule(seed=SEED + 1,
-                                            max_rank=MAX_RANK), DAY)
+            index.apply_delta(WorldEvolution(seed=SEED + 1,
+                                             max_rank=MAX_RANK), DAY)
 
     def test_narrow_schedule_is_refused(self):
         index = TypoRiskIndex(SEED, MAX_RANK)
         with pytest.raises(ConfigError):
-            index.apply_delta(ChurnSchedule(seed=SEED,
-                                            max_rank=MAX_RANK - 1), DAY)
+            index.apply_delta(WorldEvolution(seed=SEED,
+                                             max_rank=MAX_RANK - 1), DAY)

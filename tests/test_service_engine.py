@@ -237,7 +237,7 @@ class TestPersistence:
 
     def test_recomputed_digest_cannot_forge_buckets(self, tmp_path, index):
         """Re-digesting after an edit still fails: buckets re-derive."""
-        from repro.service.index import _payload_digest
+        from repro.util.artifact import payload_digest
 
         path = tmp_path / "risk.index"
         index.save(path)
@@ -246,7 +246,7 @@ class TestPersistence:
         first_suffix = sorted(data["head_buckets"])[0]
         first_variant = sorted(data["head_buckets"][first_suffix])[0]
         data["head_buckets"][first_suffix][first_variant] = [MAX_RANK]
-        data["digest"] = _payload_digest(data)
+        data["digest"] = payload_digest(data)
         path.write_text(json.dumps(data, sort_keys=True))
         with pytest.raises(CheckpointCorruptError):
             TypoRiskIndex.load(path)

@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.doctor import diagnose_file
-from repro.ecosystem.delta import ChurnSchedule
+from repro.ecosystem.delta import WorldEvolution
 from repro.service import LookupWorkload, RiskEngine, TypoRiskIndex
 
 pytestmark = pytest.mark.chaos
@@ -27,7 +27,7 @@ SEED = 606
 MAX_RANK = 400
 DAY = 30
 
-SCHEDULE = ChurnSchedule(seed=SEED, max_rank=MAX_RANK, daily_rate=0.02)
+SCHEDULE = WorldEvolution(seed=SEED, max_rank=MAX_RANK, daily_rate=0.02)
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +131,7 @@ class TestTornSwap:
 import os
 import signal
 import sys
-from repro.ecosystem.delta import ChurnSchedule
+from repro.ecosystem.delta import WorldEvolution
 from repro.service import RiskEngine, TypoRiskIndex
 
 artifact, crash_phase = sys.argv[1], sys.argv[2]
@@ -142,7 +142,7 @@ def hook(phase):
     if phase == crash_phase:
         os.kill(os.getpid(), signal.SIGKILL)
 
-schedule = ChurnSchedule(seed=606, max_rank=400, daily_rate=0.02)
+schedule = WorldEvolution(seed=606, max_rank=400, daily_rate=0.02)
 engine.hot_swap(schedule, 30, artifact_path=artifact, phase_hook=hook)
 """
 
@@ -196,12 +196,12 @@ engine.hot_swap(schedule, 30, artifact_path=artifact, phase_hook=hook)
         artifact = tmp_path / "risk.index"
         script = """
 import sys
-from repro.ecosystem.delta import ChurnSchedule
+from repro.ecosystem.delta import WorldEvolution
 from repro.service import RiskEngine, TypoRiskIndex
 
 artifact = sys.argv[1]
 engine = RiskEngine(TypoRiskIndex(606, 400))
-schedule = ChurnSchedule(seed=606, max_rank=400, daily_rate=0.02)
+schedule = WorldEvolution(seed=606, max_rank=400, daily_rate=0.02)
 day = 0
 while True:
     day += 1
