@@ -10,6 +10,7 @@ from repro.core.distances import (
     is_ff1,
     set_distance_caches_enabled,
     visual_distance,
+    within_one_edit,
 )
 from repro.core.keyboard import are_adjacent, qwerty_adjacency
 from repro.core.targets import (
@@ -57,6 +58,7 @@ def kernel_cache_stats() -> dict:
 
 __all__ = [
     "damerau_levenshtein",
+    "within_one_edit",
     "is_dl1",
     "fat_finger_distance",
     "is_ff1",

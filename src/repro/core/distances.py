@@ -22,6 +22,7 @@ from repro.core.keyboard import qwerty_adjacency
 
 __all__ = [
     "damerau_levenshtein",
+    "within_one_edit",
     "is_dl1",
     "fat_finger_distance",
     "fat_finger_for_edit",
@@ -164,9 +165,36 @@ def _damerau_levenshtein_uncached(a: str, b: str) -> int:
     return table[len_a + 1][len_b + 1]
 
 
+def within_one_edit(a: str, b: str) -> bool:
+    """``damerau_levenshtein(a, b) <= 1`` in one linear scan.
+
+    Two strings are within one edit iff they are equal, one is the other
+    with one character deleted, or they have equal length and differ by
+    one substitution or one swap of adjacent characters.  Each case is
+    decided at the first mismatch by comparing the remaining tails, so
+    no table is built and nothing needs caching.
+    """
+    if a == b:
+        return True
+    len_a, len_b = len(a), len(b)
+    if len_a < len_b:
+        a, b, len_a, len_b = b, a, len_b, len_a
+    if len_a - len_b > 1:
+        return False
+    i = 0
+    while i < len_b and a[i] == b[i]:
+        i += 1
+    if len_a != len_b:
+        return a[i + 1:] == b[i:]            # ``a`` has one extra char
+    if a[i + 1:] == b[i + 1:]:
+        return True                          # one substitution
+    return (i + 1 < len_a and a[i] == b[i + 1] and a[i + 1] == b[i]
+            and a[i + 2:] == b[i + 2:])      # one adjacent swap
+
+
 def is_dl1(a: str, b: str) -> bool:
     """True when the two strings are at Damerau-Levenshtein distance one."""
-    return damerau_levenshtein(a, b) == 1
+    return a != b and within_one_edit(a, b)
 
 
 EditOperation = str  # "addition" | "deletion" | "substitution" | "transposition"

@@ -5,9 +5,11 @@ millions of times a day; re-scanning the whole target list per query is
 O(ranks) and unshippable.  This package keeps the answer resident:
 
 - :class:`TypoRiskIndex` — precomputed candidate retrieval (deletion
-  neighbourhoods for head targets, reverse-edit probes against the
-  lazy filler law) that finds every DL<=1 target in O(1)-ish probes,
-  pinned byte-identical to the brute-force all-targets scan.
+  neighbourhoods for head targets; for fillers, one DL<=1 check against
+  the slot the query's digit run names plus law probes of the few
+  digit edits that change it) that finds every DL<=1 target in a few
+  dozen probes, pinned byte-identical to the brute-force all-targets
+  scan.
 - :class:`RiskEngine` — layered lookup (rules -> exact target ->
   index retrieval -> kernel scoring -> policy tiers) with a bounded
   verdict memo and a review queue for the uncertain band.

@@ -312,7 +312,7 @@ class RiskEngine:
             self._hits += 1
             return cached
         self._misses += 1
-        verdict = self._classify(query, self.index.candidate_ranks)
+        verdict = self._classify(query, self.index._candidate_ranks)
         self._remember(verdict, enqueue_review=enqueue_review)
         return verdict
 
@@ -324,7 +324,7 @@ class RiskEngine:
         byte (``canonical_json``).
         """
         return self._classify(query,
-                              self.index.brute_force_candidate_ranks)
+                              self.index._brute_force_candidate_ranks)
 
     def batch_lookup(self, queries: Sequence[str], *,
                      jobs: Optional[int] = None) -> List[RiskVerdict]:
@@ -524,7 +524,7 @@ class RiskEngine:
         domain, label, suffix, fast = self._fast_classify(query)
         if fast is not None:
             return fast
-        ranks = self.index.candidate_ranks(domain)
+        ranks = self.index._candidate_ranks(label, suffix)
         if not ranks:
             return _flat_verdict(query, domain, "unrelated", "none",
                                  "allow", "degraded")
@@ -595,12 +595,13 @@ class RiskEngine:
         return domain, label, suffix, None
 
     def _classify(self, query: str,
-                  retrieval: Callable[[str], Tuple[int, ...]]
+                  retrieval: Callable[[str, str], Tuple[int, ...]]
                   ) -> RiskVerdict:
+        """Layers 1-4; ``retrieval(label, suffix)`` finds the candidates."""
         domain, label, suffix, fast = self._fast_classify(query)
         if fast is not None:
             return fast
-        ranks = retrieval(domain)
+        ranks = retrieval(label, suffix)
         if not ranks:
             return _flat_verdict(query, domain, "unrelated", "none",
                                  "allow", "index")

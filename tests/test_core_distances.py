@@ -1,6 +1,8 @@
 """Tests for repro.core.distances — DL, fat-finger, and visual distances."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     classify_edit,
@@ -9,6 +11,7 @@ from repro.core import (
     is_dl1,
     is_ff1,
     visual_distance,
+    within_one_edit,
 )
 
 
@@ -54,6 +57,62 @@ class TestDamerauLevenshtein:
         assert is_dl1("gmail", "gmial")
         assert not is_dl1("gmail", "gmail")
         assert not is_dl1("gmail", "gmual")
+
+
+# short strings over a small alphabet collide often enough to exercise
+# every DL<=1 case; the unicode letters make sure nothing assumes ASCII
+_TEXT = st.text(alphabet="ab1-éм", max_size=7)
+
+
+@st.composite
+def _near_pairs(draw):
+    """(a, b) where b is ``a`` after up to two random single edits."""
+    a = draw(_TEXT)
+    b = a
+    for _ in range(draw(st.integers(0, 2))):
+        op = draw(st.sampled_from(("del", "ins", "sub", "swap")))
+        i = draw(st.integers(0, len(b)))
+        ch = draw(st.sampled_from("ab1-éм"))
+        if op == "ins":
+            b = b[:i] + ch + b[i:]
+        elif i < len(b):
+            if op == "del":
+                b = b[:i] + b[i + 1:]
+            elif op == "sub":
+                b = b[:i] + ch + b[i + 1:]
+            elif i + 1 < len(b):
+                b = b[:i] + b[i + 1] + b[i] + b[i + 2:]
+    return a, b
+
+
+class TestWithinOneEdit:
+    @settings(max_examples=400, deadline=None)
+    @given(_near_pairs())
+    def test_matches_full_distance_on_near_pairs(self, pair):
+        a, b = pair
+        assert within_one_edit(a, b) == (damerau_levenshtein(a, b) <= 1)
+        assert within_one_edit(b, a) == within_one_edit(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=8), st.text(max_size=8))
+    def test_matches_full_distance_on_arbitrary_text(self, a, b):
+        assert within_one_edit(a, b) == (damerau_levenshtein(a, b) <= 1)
+
+    def test_cases(self):
+        assert within_one_edit("", "")
+        assert within_one_edit("", "a")
+        assert not within_one_edit("", "ab")
+        assert within_one_edit("gmail", "gmial")          # swap
+        assert within_one_edit("gmail", "gmal")           # deletion
+        assert within_one_edit("gmail", "gmaill")         # insertion
+        assert not within_one_edit("gmail", "gmual")
+        assert not within_one_edit("ab", "bac")
+        assert not within_one_edit("abc", "cba")
+
+    def test_is_dl1_excludes_equal_strings(self):
+        assert not is_dl1("", "")
+        assert is_dl1("", "x")
+        assert is_dl1("brene305", "bren3e05")
 
 
 class TestClassifyEdit:

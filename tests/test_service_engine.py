@@ -17,6 +17,7 @@ from repro.service import (
     LookupWorkload,
     RiskEngine,
     TypoRiskIndex,
+    run_serve_bench,
 )
 from repro.service.workload import _EDGE_QUERIES
 from repro.util.errors import (
@@ -161,6 +162,16 @@ class TestVerdictMemo:
     def test_memoized_verdict_is_the_same_object(self, engine):
         first = engine.lookup("gmial.com")
         assert engine.lookup("gmial.com") is first
+
+    def test_serve_bench_records_a_cold_lane(self):
+        """The cold lane re-serves every distinct query with the memo
+        cleared; the warm lane's hit rate excludes those misses."""
+        result = run_serve_bench(SEED, MAX_RANK, lookups=400, pool_size=32)
+        entry = result.entry()
+        assert entry["cold_qps"] > 0.0
+        assert 0.0 < entry["cold_p50_us"] <= entry["cold_p99_us"]
+        # only the warm-up missed: once per distinct query
+        assert result.engine_cache["misses"] == result.distinct_queries
 
 
 class TestBatchLookup:

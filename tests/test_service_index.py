@@ -16,9 +16,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import EMAIL_TARGETS
+from repro.core.distances import damerau_levenshtein
 from repro.core.typogen import apply_edit, enumerate_edit_ops, split_domain
 from repro.service import TypoRiskIndex, normalize_query
-from repro.service.workload import _EDGE_QUERIES
+from repro.service.workload import _EDGE_QUERIES, LookupWorkload
 from repro.util.errors import ConfigError
 from repro.util.rand import SeededRng
 
@@ -140,3 +141,144 @@ class TestConstruction:
     def test_build_is_fast_and_counted(self, index):
         assert index.build_seconds < 1.0
         assert index.head_bucket_count > len(EMAIL_TARGETS)
+
+
+# -- retrieval at paper-like scale ------------------------------------------
+
+WIDE_RANK = 100_000
+FIRST_FILLER = len(EMAIL_TARGETS) + 1
+
+
+@pytest.fixture(scope="module")
+def wide_index():
+    return TypoRiskIndex(SEED, WIDE_RANK)
+
+
+def _wide_filler_ranks():
+    """Two filler ranks per index width (1-5 digits) plus the last rank."""
+    rng = SeededRng(13)
+    ranks = []
+    for width in range(1, 6):
+        low = 0 if width == 1 else 10 ** (width - 1)
+        high = min(10 ** width, WIDE_RANK - FIRST_FILLER + 1) - 1
+        ranks += [FIRST_FILLER + low, FIRST_FILLER + rng.randint(low, high)]
+    return ranks + [WIDE_RANK]
+
+
+def _assert_sound(index, query, ranks):
+    """Every returned rank is a same-suffix target within DL-1."""
+    label, suffix = split_domain(normalize_query(query))
+    for rank in ranks:
+        t_label, t_suffix = index.world.target_parts(rank)
+        assert t_suffix == suffix, (query, rank)
+        assert damerau_levenshtein(label, t_label) <= 1, (query, rank)
+
+
+class TestWideRetrieval:
+    """5-digit filler indices, which the 1,200-rank parity suite never
+    reaches.  No brute force: soundness is checked per returned rank and
+    completeness against the filler each query was edited from."""
+
+    @pytest.mark.parametrize("rank", _wide_filler_ranks())
+    def test_every_single_edit_retrieves_its_filler(self, wide_index, rank):
+        label, suffix = wide_index.world.target_parts(rank)
+        for op, position, char in enumerate_edit_ops(label):
+            query = f"{apply_edit(label, op, position, char)}.{suffix}"
+            ranks = wide_index.candidate_ranks(query)
+            assert rank in ranks, query
+            _assert_sound(wide_index, query, ranks)
+
+
+def _boundary_shapes(label):
+    """Single edits of a filler label around its letter/digit boundary."""
+    stem = label.rstrip(string.digits)
+    n = len(stem)
+    return {
+        # brene305 -> bren3e05: a digit moved into the stem
+        "digit_into_stem": label[:n - 1] + label[n] + label[n - 1]
+        + label[n + 1:],
+        "last_letter_to_digit": label[:n - 1] + "7" + label[n:],
+        "first_digit_to_letter": label[:n] + "x" + label[n + 1:],
+        "deletion_exposes_leading_zero": label[:n] + label[n + 1:],
+        "hyphen_before_last_letter": label[:n - 1] + "-" + label[n - 1:],
+        "hyphen_at_boundary": label[:n] + "-" + label[n:],
+        "hyphen_after_first_digit": label[:n + 1] + "-" + label[n + 1:],
+        "hyphen_for_last_letter": label[:n - 1] + "-" + label[n:],
+        "hyphen_for_first_digit": label[:n] + "-" + label[n + 1:],
+    }
+
+
+def _boundary_filler_ranks(index):
+    """Per index width >= 2, the first filler whose run's second digit is
+    0, so deleting the first digit leaves a leading zero."""
+    ranks = []
+    width_max = len(str(index.max_rank - FIRST_FILLER))
+    for width in range(2, width_max + 1):
+        for slot in range(10 ** (width - 1), 10 ** width):
+            rank = FIRST_FILLER + slot
+            if rank > index.max_rank:
+                break
+            if str(slot)[1] == "0":
+                ranks.append(rank)
+                break
+    return ranks
+
+
+class TestBoundaryShapes:
+    def test_wide_index_retrieves_the_edited_filler(self, wide_index):
+        ranks = _boundary_filler_ranks(wide_index)
+        assert len(ranks) == 4          # widths 2..5
+        for rank in ranks:
+            label = wide_index.world.target_parts(rank)[0]
+            assert str(rank - FIRST_FILLER)[1] == "0"
+            for shape, typo in _boundary_shapes(label).items():
+                query = f"{typo}.com"
+                found = wide_index.candidate_ranks(query)
+                assert rank in found, (shape, query)
+                _assert_sound(wide_index, query, found)
+
+    def test_match_brute_force(self, index):
+        for rank in _boundary_filler_ranks(index):
+            label = index.world.target_parts(rank)[0]
+            for shape, typo in _boundary_shapes(label).items():
+                query = f"{typo}.com"
+                ranks = index.candidate_ranks(query)
+                assert rank in ranks, (shape, query)
+                assert ranks == index.brute_force_candidate_ranks(query), \
+                    (shape, query)
+
+    def test_all_digit_labels(self, index, wide_index):
+        for digits in ("0", "7", "305", "1024", "99999", "100000"):
+            query = f"{digits}.com"
+            assert index.candidate_ranks(query) == \
+                index.brute_force_candidate_ranks(query)
+            assert wide_index.candidate_ranks(query) == ()
+
+
+# -- probe budget ----------------------------------------------------------
+
+class TestProbeBudget:
+    """The filler path asks the membership law ~33 times per query on a
+    served mix (a full reverse-edit enumeration asked ~185).  Counting
+    calls, not time, keeps the check independent of the machine."""
+
+    #: mean law calls per ``candidate_ranks`` call; measured 33.3
+    BUDGET = 50
+
+    def test_membership_law_calls_per_lookup(self, monkeypatch):
+        index = TypoRiskIndex(SEED, 20_000)
+        queries = LookupWorkload(SEED, 20_000).pool_entries()
+        queries += LookupWorkload(SEED + 1, 20_000,
+                                  pool_size=1024).pool_entries()
+        target_rank = index.world.target_rank
+        calls = []
+
+        def counted(domain, max_rank):
+            calls.append(domain)
+            return target_rank(domain, max_rank)
+
+        monkeypatch.setattr(index.world, "target_rank", counted)
+        for query in queries:
+            index.candidate_ranks(query)
+        assert len(calls) <= self.BUDGET * len(queries), \
+            len(calls) / len(queries)
